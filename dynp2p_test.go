@@ -2,8 +2,10 @@ package dynp2p
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynp2p/internal/rng"
@@ -69,6 +71,55 @@ func TestFacadeDeterminism(t *testing.T) {
 // additionally exercises hot-key replica placement, cascade seeding,
 // and LRU eviction — all of whose counters ride in Stats — under the
 // same worker sweep.
+// TestResultsCanonicalOrder: Results lists completions in canonical
+// (Done, Searcher, Key, Start) order, not in the order the handler's
+// workers finished. A batch of searchers that already hold the item in
+// their own cache re-issue it together, so dozens of retrievals complete
+// in the same round across every shard; the lists must be equal element
+// by element at any worker count.
+func TestResultsCanonicalOrder(t *testing.T) {
+	const searchers = 48
+	run := func(workers int) []Result {
+		nw := New(Config{N: 512, Seed: 13, Workers: workers, Cache: CacheConfig{Capacity: 2}})
+		nw.Run(nw.WarmupRounds())
+		data := make([]byte, 32)
+		rng.New(6).Fill(data)
+		nw.Store(0, 3, data)
+		nw.Run(nw.Tunables().Protocol.Period)
+		for i := 1; i <= searchers; i++ {
+			nw.Retrieve(i*10, 3, data)
+		}
+		nw.Run(nw.Tunables().Protocol.SearchTTL + 4)
+		res := nw.Results()
+		for i := 1; i <= searchers; i++ {
+			nw.Retrieve(i*10, 3, data)
+		}
+		nw.Run(2)
+		return append(res, nw.Results()...)
+	}
+	base := run(1)
+	if !slices.IsSortedFunc(base, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(a.Done, b.Done), cmp.Compare(a.Searcher, b.Searcher),
+			cmp.Compare(a.Key, b.Key), cmp.Compare(a.Start, b.Start))
+	}) {
+		t.Fatalf("results not in canonical order: %+v", base)
+	}
+	sameRound := map[int]int{}
+	most := 0
+	for _, r := range base {
+		sameRound[r.Done]++
+		most = max(most, sameRound[r.Done])
+	}
+	if most < searchers/2 {
+		t.Fatalf("at most %d retrievals completed in one round, want >= %d", most, searchers/2)
+	}
+	for _, w := range []int{3, runtime.GOMAXPROCS(0)} {
+		if got := run(w); !reflect.DeepEqual(base, got) {
+			t.Errorf("workers=%d: results differ:\n%+v\n%+v", w, base, got)
+		}
+	}
+}
+
 func TestWorkerCountIndependence(t *testing.T) {
 	type snapshot struct {
 		stats   Stats

@@ -21,9 +21,11 @@ import (
 // proportion to its completed request volume, which is exactly the
 // traffic-proportional random replication the reference paper shows
 // yields polylog expected search time. (Seeding on serves was measured
-// first: Algorithm 4's inquiry fan-out is Θ(√n·T) messages per search,
-// so serve-triggered seeding saturates the whole network off a handful
-// of retrievals.)
+// first: Algorithm 4's inquiry fan-out is Θ(√n) messages per round for
+// as long as a search runs — and until the landmark TTL for a search
+// whose searcher was churned out, since nobody retires it — so
+// serve-triggered seeding saturates the whole network off a handful of
+// retrievals.)
 //
 // Entries live in one flat arena of n·capacity slots; slot s owns the
 // region [s·cap, (s+1)·cap). OnJoin clears the replaced slot's region,
@@ -247,8 +249,9 @@ func (h *Handler) cacheSeed(ctx *simnet.Ctx, st *nodeState, e *cacheEntry, trace
 // cacheServe answers an inquiry straight from the cache: the item bytes
 // go to the searcher, short-circuiting found/fetch/reconstruct. Serving
 // refreshes the entry's LRU stamp (via the lookup) but deliberately does
-// not seed — inquiry volume is not request volume; see the package-top
-// comment. The completing searcher seeds on receipt instead.
+// not seed — inquiry volume is not request volume (one search's
+// landmarks inquire Θ(√n) nodes a round until it is retired); see the
+// package-top comment. The completing searcher seeds on receipt instead.
 func (h *Handler) cacheServe(ctx *simnet.Ctx, e *cacheEntry, searcher simnet.NodeID, trace uint64) {
 	// At most one serve per entry per round: a hot key's landmarks
 	// inquire many nodes per round and several inquiries can land here

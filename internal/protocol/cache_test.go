@@ -25,14 +25,7 @@ func cacheSim(t *testing.T, n int, ttl int) (*sim, uint64, []byte) {
 func retrieve(t *testing.T, s *sim, slot int, key uint64, want []byte) SearchResult {
 	t.Helper()
 	s.h.RequestRetrieve(s.e, slot, key, want)
-	for i := 0; i < s.h.P.SearchTTL+5; i++ {
-		s.run(1)
-		if rs := s.h.DrainResults(); len(rs) > 0 {
-			return rs[0]
-		}
-	}
-	t.Fatalf("retrieval from slot %d never completed", slot)
-	return SearchResult{}
+	return s.awaitResult(t)
 }
 
 // TestCacheOwnHitShortCircuits: a node that completed a retrieval holds
@@ -103,11 +96,11 @@ func TestCacheTTLExpiryFallsBack(t *testing.T) {
 	if !first.Success {
 		t.Fatalf("first retrieval failed: %+v", first)
 	}
-	// Outlive the TTL — generously. The first search's landmarks keep
-	// inquiring until their own TTL expires, and every inquiry lookup
-	// that frees an expired entry lets a later seed re-install (and
-	// re-cascade), so the replica population only ages out for good
-	// once the inquiry tail is gone.
+	// Outlive the TTL — generously. The first search retires its
+	// landmarks within TreeDepth+1 rounds of succeeding, but until then
+	// every inquiry lookup that frees an expired entry lets a later seed
+	// re-install (and re-cascade); the wait also outlasts any task a
+	// retire missed, whose inquiries stop only at its own TTL.
 	s.run(s.h.P.SearchTTL + 2*s.h.P.LandmarkTTL)
 	second := retrieve(t, s, 50, key, data)
 	if !second.Success {

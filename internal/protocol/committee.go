@@ -375,7 +375,7 @@ func (h *Handler) onInvite(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 			}
 		}
 	case ModeSearch:
-		h.addSearchTask(st, key, searcher, ctx.Round, msg.Trace)
+		h.addSearchTask(st, key, com, searcher, ctx.Round, ctx.Round, msg.Trace)
 	}
 }
 

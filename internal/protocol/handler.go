@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -183,17 +184,22 @@ type storedCopy struct {
 // lmEntry is a storage-landmark registration: this node can point
 // searchers at the item's committee.
 type lmEntry struct {
-	roster []simnet.NodeID
-	expiry int
-	wave   int
+	roster   []simnet.NodeID
+	expiry   int
+	wave     int
+	answered []uint64 // search committee ids already sent a Found
 }
 
-// searchTask makes this node a search landmark for (key, searcher).
+// searchTask makes this node a search landmark for one search, named by
+// its op-unique committee id com, so a retire for an old search never
+// ends a newer search by the same node for the same key.
 type searchTask struct {
+	com      uint64
 	searcher simnet.NodeID
 	expiry   int
 	wave     int
-	trace    uint64 // the search's lifecycle trace id (0 = untraced)
+	trace    uint64          // the search's lifecycle trace id (0 = untraced)
+	children []simnet.NodeID // tree children recruited for this search (retire fan-out)
 }
 
 // pendingOp is a Store/Retrieve request waiting for enough walk samples to
@@ -417,13 +423,19 @@ func (h *Handler) recordResult(r SearchResult) {
 	h.mu.Unlock()
 }
 
-// DrainResults returns and clears the accumulated retrieval outcomes.
-// Call between rounds only.
+// DrainResults returns and clears the accumulated retrieval outcomes in
+// canonical (Done, Searcher, Key, Start) order — handlers record them in
+// worker-finish order, which differs from run to run. Call between rounds
+// only.
 func (h *Handler) DrainResults() []SearchResult {
 	h.mu.Lock()
 	r := h.results
 	h.results = nil
 	h.mu.Unlock()
+	slices.SortFunc(r, func(a, b SearchResult) int {
+		return cmp.Or(cmp.Compare(a.Done, b.Done), cmp.Compare(a.Searcher, b.Searcher),
+			cmp.Compare(a.Key, b.Key), cmp.Compare(a.Start, b.Start))
+	})
 	return r
 }
 

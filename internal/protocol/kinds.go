@@ -21,12 +21,19 @@ const (
 	KindCHandover uint8 = 0x12
 
 	// KindLGrow grows a landmark tree by one level.
-	// Item = item key, Aux = packGrow(depth, wave, mode), Aux2 = searcher
-	// (search mode), IDs = committee roster.
+	// Item = committee id, Aux = packGrow(depth, wave, mode), Aux2 =
+	// searcher (search mode). Store mode: IDs = committee roster (Item is
+	// the item key). Search mode: Blob = the 8-byte item key, no roster
+	// (search landmarks never use it). Aux = growRetire instead makes it
+	// a retire: search Item is over, so the recipient drops its
+	// membership and landmark task for that committee and forwards the
+	// retire to the children the task recruited (Blob = item key).
 	KindLGrow uint8 = 0x20
 
 	// KindSInquire asks a sampled node whether it knows item Item.
-	// Aux2 = searcher id the answer should be reported for.
+	// Aux = the inquiring search's committee id (a storage landmark
+	// answers each one at most once per registration), Aux2 = searcher
+	// id the answer should be reported for.
 	KindSInquire uint8 = 0x30
 	// KindSFound reports to the searcher that the sender knows item
 	// Item's storage committee. IDs = storage roster.
@@ -78,6 +85,10 @@ func packGrow(depth int, wave int, mode Mode) uint64 {
 func unpackGrow(aux uint64) (depth int, wave int, mode Mode) {
 	return int(uint8(aux)), int(uint32(aux >> 8)), Mode(aux >> 40 & 0xff)
 }
+
+// growRetire flags a search-mode KindLGrow as a retire (above the
+// packGrow fields).
+const growRetire uint64 = 1 << 48
 
 // keyBlob encodes an item key as a message blob (search-mode invites carry
 // the key separately from the op-unique committee id).

@@ -10,7 +10,9 @@
 //     of its committee and advertised by storage landmarks (Theorem 3);
 //   - retrieval (Algorithm 4): a searcher builds a search committee and
 //     search landmarks; the Ω(√n)×Ω(√n) landmark rendezvous through walk
-//     samples finds the item in O(log n) rounds (Theorem 4);
+//     samples finds the item in O(log n) rounds (Theorem 4), and the
+//     searcher then retires its committee and landmark trees so they
+//     stop inquiring (DESIGN.md §2);
 //   - erasure-coded storage (§4.4): committee members hold IDA pieces
 //     instead of full copies; the epoch leader reconstructs and
 //     re-disperses at every handover.

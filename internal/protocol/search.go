@@ -18,6 +18,7 @@ type searchState struct {
 	deadline int
 	found    int // round the first storage roster arrived; -1 until then
 	roster   []simnet.NodeID
+	members  []simnet.NodeID        // the search committee invited (the retire's recipients)
 	fetched  map[simnet.NodeID]bool // members already asked for data
 	pieces   []ida.Piece
 	itemLen  int
@@ -147,6 +148,7 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 		key: op.key, com: com, start: op.start,
 		deadline: op.start + h.P.SearchTTL,
 		found:    -1,
+		members:  roster,
 		fetched:  make(map[simnet.NodeID]bool),
 		want:     op.data,
 		trace:    trace,
@@ -166,7 +168,7 @@ func (h *Handler) createSearchCommittee(ctx *simnet.Ctx, st *nodeState, op pendi
 	h.ctr.committeeCreated.Inc(ctx.Shard)
 	// The searcher doubles as a search landmark so its own walk samples
 	// contribute to the rendezvous.
-	h.addSearchTask(st, op.key, st.id, ctx.Round, trace)
+	h.addSearchTask(st, op.key, com, st.id, ctx.Round, ctx.Round, trace)
 	// Shortcut: if the searcher already happens to be a storage landmark
 	// for the item, it knows the roster and can fetch immediately.
 	if ent, ok := st.storageLM[op.key]; ok && ctx.Round < ent.expiry {
@@ -200,11 +202,11 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 		return
 	}
 	for _, key := range st.sortedLMKeys() {
-		tasks := st.searchLM[key]
-		for _, t := range tasks {
+		for _, t := range st.searchLM[key] {
 			if ctx.Round >= t.expiry {
 				continue
 			}
+			sent := 0
 			for _, s := range samples {
 				if s.Src == st.id {
 					continue
@@ -215,18 +217,21 @@ func (h *Handler) tickSearchLandmarks(ctx *simnet.Ctx, st *nodeState, samples []
 				// the sampled source — replicas cut network distance.
 				ctx.SendRoutedKeyed(simnet.Msg{
 					To: s.Src, Kind: KindSInquire, Item: key,
+					Aux:   t.com,
 					Aux2:  uint64(t.searcher),
 					Trace: t.trace,
 				})
+				sent++
 			}
-			h.ctr.inquiries.Add(ctx.Shard, int64(len(samples)))
+			h.ctr.inquiries.Add(ctx.Shard, int64(sent))
 		}
 	}
 }
 
 // onInquire answers an inquiry if this node is a storage landmark (or
 // committee member) for the item: it reports the storage roster directly
-// to the searcher.
+// to the searcher, once per search per registration — every later
+// inquiry from the same search would carry the same roster.
 func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 	// A cached copy beats a roster referral: the bytes go straight to
 	// the searcher, skipping the fetch/reconstruct round-trips.
@@ -235,9 +240,10 @@ func (h *Handler) onInquire(ctx *simnet.Ctx, st *nodeState, msg *simnet.Msg) {
 		return
 	}
 	ent, ok := st.storageLM[msg.Item]
-	if !ok || ctx.Round >= ent.expiry {
+	if !ok || ctx.Round >= ent.expiry || slices.Contains(ent.answered, msg.Aux) {
 		return
 	}
+	ent.answered = append(ent.answered, msg.Aux)
 	ctx.SendRouted(simnet.Msg{
 		To: simnet.NodeID(msg.Aux2), Kind: KindSFound, Item: msg.Item,
 		IDs:   ent.roster,
@@ -329,7 +335,8 @@ func distinctPieces(ps []ida.Piece) int {
 	return len(seen)
 }
 
-// finishSearch records the retrieval outcome and clears the local state.
+// finishSearch records the retrieval outcome, retires the search and
+// clears the local state.
 func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState, done int, success bool, nbytes int) {
 	h.recordResult(SearchResult{
 		Searcher: st.id, Key: srch.key, Start: srch.start,
@@ -345,7 +352,21 @@ func (h *Handler) finishSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState
 		}
 	}
 	h.emitSearchDone(ctx, st, srch, done, success)
+	h.retireSearch(ctx, st, srch)
 	delete(st.searches, srch.key)
+}
+
+// retireSearch stops the protocol traffic of a search that is over: the
+// searcher drops its own landmark task and tells its search committee,
+// whose members stop waving and cascade the retire down their landmark
+// trees. A search resolved from the node's own cache has no committee.
+func (h *Handler) retireSearch(ctx *simnet.Ctx, st *nodeState, srch *searchState) {
+	if srch.com == 0 {
+		return
+	}
+	kb := keyBlob(srch.key)
+	h.sendRetire(ctx, srch.members, srch.com, kb, srch.trace)
+	h.retire(ctx, st, srch.com, kb)
 }
 
 // emitSearchDone closes a traced retrieval's lifecycle.
@@ -375,12 +396,13 @@ func (h *Handler) tickSearches(ctx *simnet.Ctx, st *nodeState) {
 				Found: srch.found, Done: -1, Success: false,
 			})
 			h.emitSearchDone(ctx, st, srch, ctx.Round, false)
+			h.retireSearch(ctx, st, srch)
 			delete(st.searches, key)
 			continue
 		}
 		// Keep the searcher's own inquiry task alive while the search
 		// runs, even past the landmark TTL.
-		if t := findSearchTask(st, key, st.id); t != nil && t.expiry <= ctx.Round+1 {
+		if t := findSearchTask(st, key, srch.com); t != nil && t.expiry <= ctx.Round+1 {
 			t.expiry = ctx.Round + 2
 		}
 	}
