@@ -28,6 +28,8 @@
 package dynp2p
 
 import (
+	"runtime"
+
 	"dynp2p/internal/churn"
 	"dynp2p/internal/expander"
 	"dynp2p/internal/overlay"
@@ -137,13 +139,14 @@ type Config struct {
 	// ErasureK > 0 enables IDA erasure-coded storage (§4.4) with
 	// reconstruction threshold K; pieces = committee size.
 	ErasureK int
-	// Workers bounds simulation parallelism (0 = all cores). It is a
-	// throughput knob only: a run is bit-identical — same metrics, same
-	// retrieval results, same walk samples — at every Workers value,
-	// because handler randomness is per-node, fault fates are stateless
-	// hashes, and message/token exchanges merge a fixed shard grid in
-	// fixed order (see DESIGN.md §6). TestWorkerCountIndependence
-	// enforces this.
+	// Workers bounds simulation parallelism (0 = all cores); a network
+	// gets at most one worker per 256 slots, so below 512 slots it runs
+	// serially. It is a throughput knob only: a run is bit-identical —
+	// same metrics, same retrieval results, same walk samples — at every
+	// Workers value, because handler randomness is per-node, fault fates
+	// are stateless hashes, and message/token exchanges merge a fixed
+	// shard grid in fixed order (see DESIGN.md §6).
+	// TestWorkerCountIndependence enforces this.
 	Workers int
 	// Shards pins the slot-shard grid count (a power of two ≤ 256). 0
 	// lets the engine pick from N and GOMAXPROCS. Results are a pure
@@ -228,6 +231,23 @@ type Network struct {
 // constructor for experiments and examples; misconfiguration is a bug).
 func New(cfg Config) *Network { return NewCustom(cfg, nil) }
 
+// minSlotsPerWorker is the smallest share of the network one worker
+// simulates. Below it a round's parallel phases are too short to pay for
+// their fork/join, barrier and cross-core traffic: at n=256 two workers
+// use about 25% more CPU than one for the same wall time, and how much
+// more swings with whether the second core is busy elsewhere.
+const minSlotsPerWorker = 256
+
+// parallelism is the worker count a network of n slots runs with: the
+// configured bound (0 = GOMAXPROCS), capped at one worker per
+// minSlotsPerWorker slots.
+func parallelism(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n/minSlotsPerWorker))
+}
+
 // NewCustom builds a network and lets the caller adjust the derived walk
 // and protocol parameters before the stack is assembled (used by the
 // ablation experiments; most callers want New).
@@ -252,10 +272,11 @@ func NewCustom(cfg Config, adjust func(*walks.Params, *protocol.Params)) *Networ
 	if cfg.StaticEdges && mode == EdgesRerandomize {
 		mode = EdgesStatic
 	}
+	workers := parallelism(cfg.Workers, cfg.N)
 	e := simnet.New(simnet.Config{
 		N: cfg.N, Degree: cfg.Degree, EdgeMode: mode, EdgePeriod: cfg.EdgePeriod,
 		AdversarySeed: cfg.Seed, ProtocolSeed: cfg.Seed + 1,
-		Strategy: cfg.Strategy, Law: law, Fault: cfg.Fault, Workers: cfg.Workers,
+		Strategy: cfg.Strategy, Law: law, Fault: cfg.Fault, Workers: workers,
 		Shards: cfg.Shards, Routing: cfg.Routing,
 	})
 	wp := walks.DefaultParams(cfg.N)
@@ -267,7 +288,7 @@ func NewCustom(cfg Config, adjust func(*walks.Params, *protocol.Params)) *Networ
 	if adjust != nil {
 		adjust(&wp, &pp)
 	}
-	soup := walks.NewSoup(e, wp, cfg.Workers)
+	soup := walks.NewSoup(e, wp, workers)
 	e.AddNamedHook("soup", soup)
 	// The overlay hook must follow the soup: repair consumes the round's
 	// fresh samples and must rewire only after the soup's snapshot. It is

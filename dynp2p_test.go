@@ -50,6 +50,23 @@ func TestFacadeErasureMode(t *testing.T) {
 	}
 }
 
+// TestParallelism pins the worker cap: one worker per 256 slots, at most
+// the configured bound (0 = GOMAXPROCS), never fewer than one.
+func TestParallelism(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ workers, n, want int }{
+		{2, 8, 1}, {2, 256, 1}, {3, 511, 1}, {3, 512, 2}, {3, 1024, 3},
+		{2, 2048, 2}, {1, 4096, 1}, {0, 256, 1}, {0, 1 << 20, procs},
+	} {
+		if got := parallelism(c.workers, c.n); got != c.want {
+			t.Errorf("parallelism(%d, %d) = %d, want %d", c.workers, c.n, got, c.want)
+		}
+	}
+	if got := New(Config{N: 256, Workers: 4}).Engine().Workers(); got != 1 {
+		t.Errorf("n=256 network runs %d workers, want 1", got)
+	}
+}
+
 func TestFacadeDeterminism(t *testing.T) {
 	run := func() (Stats, int) {
 		nw := New(Config{N: 128, ChurnRate: 1, Seed: 3, Workers: 3})

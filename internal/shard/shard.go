@@ -212,11 +212,22 @@ type Barrier struct {
 	parties int32
 	count   atomic.Int32
 	gen     atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond // signalled under mu when gen advances
 }
+
+// spinWaits bounds how often Wait yields before it parks: phases are
+// short, so the others usually arrive within a few yields, but a
+// participant whose thread the OS (or hypervisor) has descheduled may
+// take a whole time slice, and spinning through that would bill the
+// wait as CPU time.
+const spinWaits = 64
 
 // NewBarrier returns a barrier for the given number of participants.
 func NewBarrier(parties int) *Barrier {
-	return &Barrier{parties: int32(parties)}
+	b := &Barrier{parties: int32(parties)}
+	b.cond.L = &b.mu
+	return b
 }
 
 // Reset re-arms the barrier for a (possibly different) participant
@@ -228,8 +239,7 @@ func (b *Barrier) Reset(parties int) {
 
 // Wait blocks until all participants have called Wait for the current
 // generation. The final arriver first runs last (if non-nil), then
-// releases the others. Spin-waits with Gosched: phases are short and
-// participant counts are bounded by core count.
+// releases the others. Waiters yield up to spinWaits times, then park.
 func (b *Barrier) Wait(last func()) {
 	g := b.gen.Load()
 	if b.count.Add(1) == b.parties {
@@ -237,10 +247,21 @@ func (b *Barrier) Wait(last func()) {
 			last()
 		}
 		b.count.Store(0)
+		b.mu.Lock()
 		b.gen.Add(1)
+		b.mu.Unlock()
+		b.cond.Broadcast()
 		return
 	}
-	for b.gen.Load() == g {
+	for i := 0; i < spinWaits; i++ {
+		if b.gen.Load() != g {
+			return
+		}
 		runtime.Gosched()
 	}
+	b.mu.Lock()
+	for b.gen.Load() == g {
+		b.cond.Wait()
+	}
+	b.mu.Unlock()
 }

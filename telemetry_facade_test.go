@@ -17,7 +17,7 @@ import (
 func traceWorkload(t *testing.T, workers int, opTrace *bytes.Buffer) *Network {
 	t.Helper()
 	nw := New(Config{
-		N: 256, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 21, Workers: workers,
+		N: 512, ChurnRate: 0.5, ChurnDelta: 1.0, Seed: 21, Workers: workers,
 		TraceSampleEvery: 1,
 	})
 	if opTrace != nil {
@@ -49,6 +49,9 @@ func TestTelemetryWorkerCountIndependence(t *testing.T) {
 	run := func(workers int) (string, string, Stats) {
 		var ops bytes.Buffer
 		nw := traceWorkload(t, workers, &ops)
+		if workers > 1 && nw.Engine().Workers() < 2 {
+			t.Fatalf("workers=%d: network ran serially, so the sweep compares nothing", workers)
+		}
 		var det bytes.Buffer
 		if err := telemetry.WriteJSONL(&det, nw.Telemetry().DeterministicSnapshot()); err != nil {
 			t.Fatal(err)
