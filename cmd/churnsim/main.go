@@ -35,6 +35,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
 
+	if *n < 8 {
+		fmt.Fprintf(os.Stderr, "-n must be at least 8 (got %d)\n", *n)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var strat dynp2p.Strategy
 	switch strings.ToLower(*strategy) {
 	case "uniform":

@@ -34,13 +34,17 @@ func main() {
 	rounds := flag.Int("rounds", 0, "measurement rounds (0 = 3x walk length)")
 	seed := flag.Uint64("seed", 1, "seed")
 	lazy := flag.Bool("lazy", false, "use lazy walks (stay-put coin)")
-	store := flag.String("store", "auto", "token store: auto|lazy|eager (auto = lazy trajectory evaluation when uncapped)")
 	edges := flag.String("edges", "rerandomize", "topology: rerandomize|selfhealing|static (selfhealing attaches the overlay repair hook)")
 	memLimit := flag.Float64("memlimit", 0, "soft heap limit in GiB (0 = runtime default). The soup's cohort caches are pointer-free, so capping the GC heap target well below GOGC's 2x-live default costs little mark time and bounds peak RSS")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
 
+	if *n < 8 {
+		fmt.Fprintf(os.Stderr, "-n must be at least 8 (got %d)\n", *n)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *memLimit > 0 {
 		debug.SetMemoryLimit(int64(*memLimit * (1 << 30)))
 	}
@@ -67,17 +71,6 @@ func main() {
 	})
 	p := walks.DefaultParams(*n)
 	p.Lazy = *lazy
-	switch *store {
-	case "auto":
-		p.Store = walks.StoreAuto
-	case "lazy":
-		p.Store = walks.StoreLazy
-	case "eager":
-		p.Store = walks.StoreEager
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -store %q (want auto|lazy|eager)\n", *store)
-		os.Exit(2)
-	}
 	s := walks.NewSoup(e, p, 0)
 	e.AddHook(s)
 	var ov *overlay.Overlay
@@ -86,9 +79,9 @@ func main() {
 		e.AddHook(ov)
 	}
 
-	storeName := [...]string{"auto", "capped", "eager", "lazy-eval"}[s.Params().Store]
-	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d lazy=%v store=%s edges=%s shards=%d\n",
-		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, *lazy, storeName, *edges, e.Grid().Count())
+	// The soup runs uncapped, so NewSoup picks the lazy trajectory evaluator.
+	fmt.Printf("n=%d churn=%d/round walk-len=%d walks/node/round=%d lazy=%v store=lazy-eval edges=%s shards=%d\n",
+		*n, law.PerRound(*n, 0), p.WalkLength, p.WalksPerRound, *lazy, *edges, e.Grid().Count())
 
 	// Profiling brackets the simulated rounds, not setup or reporting.
 	stopCPU := startCPUProfile(*cpuProfile)

@@ -165,10 +165,6 @@ type Config struct {
 	// k rounds (0 = off), surfaced in Stats.Overlay. Telemetry only: it
 	// never affects the simulation's behaviour.
 	SpectralEvery int
-	// StaticEdges freezes the topology (edges stop changing; churn still
-	// replaces occupants). Deprecated shorthand for Edges: EdgesStatic,
-	// honoured when Edges is left at its zero value.
-	StaticEdges bool
 	// Routing selects how protocol messages travel. The zero value is
 	// RoutingOracle (one-round teleports, the historical engine).
 	// Routing.Mode = RoutingOverlay makes every protocol message walk the
@@ -268,13 +264,9 @@ func NewCustom(cfg Config, adjust func(*walks.Params, *protocol.Params)) *Networ
 	if cfg.ChurnLaw != nil {
 		law = cfg.ChurnLaw
 	}
-	mode := cfg.Edges
-	if cfg.StaticEdges && mode == EdgesRerandomize {
-		mode = EdgesStatic
-	}
 	workers := parallelism(cfg.Workers, cfg.N)
 	e := simnet.New(simnet.Config{
-		N: cfg.N, Degree: cfg.Degree, EdgeMode: mode, EdgePeriod: cfg.EdgePeriod,
+		N: cfg.N, Degree: cfg.Degree, EdgeMode: cfg.Edges, EdgePeriod: cfg.EdgePeriod,
 		AdversarySeed: cfg.Seed, ProtocolSeed: cfg.Seed + 1,
 		Strategy: cfg.Strategy, Law: law, Fault: cfg.Fault, Workers: workers,
 		Shards: cfg.Shards, Routing: cfg.Routing,

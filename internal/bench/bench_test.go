@@ -70,8 +70,9 @@ func soupSizes() []int {
 }
 
 // BenchmarkSoupOnly measures one engine round whose only work is the
-// random-walk soup plus per-round topology re-randomisation: the token
-// scatter/gather exchange at the paper's default walk density.
+// random-walk soup plus per-round topology re-randomisation: the lazy
+// trajectory evaluator (the uncapped store) at the paper's default walk
+// density.
 func BenchmarkSoupOnly(b *testing.B) {
 	for _, n := range soupSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -85,39 +86,6 @@ func BenchmarkSoupOnly(b *testing.B) {
 			// lifetime plus slack) so bucket and exchange buffers stop
 			// growing.
 			e.Run(simnet.NopHandler{}, walks.DefaultParams(n).WalkLength+16)
-			startMoves := soup.Metrics().Moves
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunRound(simnet.NopHandler{})
-			}
-			b.StopTimer()
-			moves := soup.Metrics().Moves - startMoves
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(moves)/s, "token-moves/s")
-			}
-		})
-	}
-}
-
-// BenchmarkSoupOnlyEager is BenchmarkSoupOnly pinned to the eager
-// staged-exchange store (walks.StoreEager) instead of the default lazy
-// trajectory evaluator: the differential row that keeps the PR 3 fast
-// path measured now that StoreAuto resolves uncapped soups to StoreLazy.
-// It skips the n=262144 scale point — the eager double-buffered staging
-// needs ~3 GB there, which is the point of the lazy store.
-func BenchmarkSoupOnlyEager(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := simnet.New(simnet.Config{
-				N: n, Degree: 8, EdgeMode: expander.Rerandomize,
-				AdversarySeed: 1, ProtocolSeed: 2, Law: churn.ZeroLaw{},
-			})
-			p := walks.DefaultParams(n)
-			p.Store = walks.StoreEager
-			soup := walks.NewSoup(e, p, 0)
-			e.AddHook(soup)
-			e.Run(simnet.NopHandler{}, p.WalkLength+16)
 			startMoves := soup.Metrics().Moves
 			b.ReportAllocs()
 			b.ResetTimer()

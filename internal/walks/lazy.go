@@ -1,7 +1,8 @@
 package walks
 
-// The lazy trajectory evaluator (StoreLazy) is the third store
-// representation. With ForwardCap == 0 no token is ever deferred, so a
+// The lazy trajectory evaluator is the uncapped soup's store (NewSoup
+// picks it whenever ForwardCap == 0, the paper's default). With no
+// forwarding cap no token is ever deferred, so a
 // walk's entire T-step trajectory is a pure function of its identity
 // (src, birth, serial), the evolving topology, and the churn record: the
 // per-round staged exchange can be deleted outright. Instead of moving
@@ -43,7 +44,7 @@ package walks
 // approximate:
 //
 //   - Serial continuation. A slot's fresh walks continue serials from its
-//     stored-survivor count (store.go's generation coda), which depends
+//     stored-survivor count (as in store.go's scatter), which depends
 //     on where every older cohort's tokens sit at the birth round. Each
 //     cohort's replay therefore increments the NEXT round's arrival
 //     table as tokens land; cohort b-1 delivers (and finishes writing
@@ -53,13 +54,12 @@ package walks
 //     AppendTokens, Inject) force every in-flight cohort's partial
 //     trajectory up to the last stepped round, caching per-cohort
 //     positions and resuming at delivery, so an event is counted iff its
-//     round has run — bit-identical to the eager stores at any query
-//     pattern and any worker count. The no-query hot path never pays for
-//     any of this.
+//     round has run — bit-identical at any query pattern and any worker
+//     count. The no-query hot path never pays for any of this.
 //
-// Overdue is identically zero here for the same reason as the eager
-// uncapped path: an undeferred token's age never exceeds WalkLength-1,
-// and NewSoup clamps Deadline up to WalkLength.
+// Overdue is identically zero here: an undeferred token steps every
+// round, so its age never exceeds WalkLength-1, and NewSoup clamps
+// Deadline up to WalkLength.
 
 import (
 	"math/bits"
@@ -156,6 +156,10 @@ type lazySoup struct {
 	// from them — are identical at every worker count.
 	atomicArrive bool
 	countsOK     bool // per-shard counts caches reflect current state
+
+	// mu serializes query-time forcing and the counts refresh (lzSync),
+	// so TokensAt/Metrics stay safe to call concurrently.
+	mu sync.Mutex
 }
 
 // newLazySoup builds the ring. Cursor rows and per-round tables are
@@ -411,7 +415,7 @@ func (s *Soup) stepLazy(e *simnet.Engine, round int) {
 }
 
 // gatherSamples rebuilds the per-shard sample stores from outSmp staging
-// (shared counting sort with the eager gather).
+// (the counting sort shared with the capped gather).
 func (s *Soup) gatherSamples() {
 	s.grid.Run(s.workers, func(dsh int) {
 		s.gatherSamplesShard(&s.shards[dsh], dsh)
@@ -530,7 +534,7 @@ func lzReplaced(death []uint64, slot int32) bool {
 // round began, so they die with a churned carrier and their survivors
 // count toward the generation serial base), then one implicit fresh batch
 // per slot, serials continuing from the slot's stored-survivor count —
-// identical semantics to the eager scatter's generation coda. ids is the
+// identical semantics to the capped scatter's generation. ids is the
 // round-b occupant table materialized by the caller.
 func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 	lz := s.lz
@@ -577,7 +581,7 @@ func (s *Soup) lzCreateShard(ss *soupShard, b int, ids []simnet.NodeID) {
 					base += int(ss.cursor[slot-lo])
 				}
 			}
-			// Same uint16-serial clamp as the eager generation coda.
+			// Same uint16-serial clamp as the capped scatter.
 			gen := wpr
 			if limit := 1<<16 - base; gen > limit {
 				gen = max(limit, 0)
@@ -640,7 +644,7 @@ func (s *Soup) lzReplayShard(ss *soupShard, b, r int, final bool, row []int32) {
 			died++
 			continue
 		}
-		// Step core — keep in sync with scatter/scatterUncapped.
+		// Step core — keep in sync with scatter.
 		h := stepHash(seed, r, simnet.NodeID(t.idser>>16), t.birth, uint16(t.idser))
 		pos := t.pos
 		if lazyStay := lazyWalk && h>>63 == 1; !lazyStay {
@@ -691,12 +695,12 @@ func (ss *soupShard) lzPop() []replayTok {
 // stepped round (and optionally refreshes the per-slot count caches),
 // serialized so concurrent protocol handlers can query freely. Repeat
 // calls are cheap: each cohort resumes from its cached positions, so a
-// query-every-round workload degrades gracefully to eager-equivalent
-// work rather than re-deriving trajectories.
+// query-every-round workload degrades gracefully to one step per token
+// per round rather than re-deriving trajectories.
 func (s *Soup) lzSync(wantCounts bool) {
 	lz := s.lz
-	s.countsMu.Lock()
-	defer s.countsMu.Unlock()
+	lz.mu.Lock()
+	defer lz.mu.Unlock()
 	if R := lz.lastRound; R >= 0 {
 		for b := max(lz.firstRound, R-lz.T+2); b <= R; b++ {
 			s.lzAdvance(b, R)
@@ -709,7 +713,7 @@ func (s *Soup) lzSync(wantCounts bool) {
 }
 
 // lzFillCounts rebuilds the per-shard per-slot token counts from the
-// cached cohort positions plus pending injections. Called under countsMu.
+// cached cohort positions plus pending injections. Called under lz.mu.
 func (s *Soup) lzFillCounts() {
 	lz := s.lz
 	for i := range s.shards {

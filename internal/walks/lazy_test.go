@@ -9,7 +9,7 @@ import (
 
 // lazyTestParams is the standard churny configuration the lazy tests run.
 func lazyTestParams() Params {
-	return Params{WalksPerRound: 4, WalkLength: 8, Deadline: 30, Lazy: true, Store: StoreLazy}
+	return Params{WalksPerRound: 4, WalkLength: 8, Deadline: 30, Lazy: true}
 }
 
 // TestLazyForcingIndependence pins that query-time forcing is purely
@@ -118,9 +118,8 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 		name string
 		p    Params
 	}{
-		{"capped", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20, Store: StoreCapped}},
-		{"eager", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, Store: StoreEager}},
-		{"lazy", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, Store: StoreLazy}},
+		{"capped", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20, ForwardCap: 1 << 20}},
+		{"lazy", Params{WalksPerRound: 3, WalkLength: 6, Deadline: 20}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e := newEngine(n, churn.FixedLaw{Count: 5}, 41, 42)
@@ -154,26 +153,16 @@ func TestInjectGenerationSerialDisjoint(t *testing.T) {
 	}
 }
 
-// TestStoreKindValidation pins the Params.Store / ForwardCap contract.
-func TestStoreKindValidation(t *testing.T) {
+// TestStoreSelection pins how NewSoup picks the token store from
+// ForwardCap: the lazy evaluator for an uncapped soup, the materialized
+// slot-major store when a forwarding cap is set.
+func TestStoreSelection(t *testing.T) {
 	e := newEngine(32, churn.ZeroLaw{})
-	mustPanic := func(name string, p Params) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: NewSoup did not panic", name)
-			}
-		}()
-		NewSoup(e, p, 0)
+	if s := NewSoup(e, Params{WalkLength: 4}, 0); s.lz == nil {
+		t.Fatal("uncapped soup did not select the lazy evaluator")
 	}
-	mustPanic("capped without cap", Params{WalkLength: 4, Store: StoreCapped})
-	mustPanic("lazy with cap", Params{WalkLength: 4, ForwardCap: 3, Store: StoreLazy})
-	mustPanic("eager with cap", Params{WalkLength: 4, ForwardCap: 3, Store: StoreEager})
-	if s := NewSoup(e, Params{WalkLength: 4}, 0); s.Params().Store != StoreLazy {
-		t.Fatalf("auto uncapped resolved to %v, want StoreLazy", s.Params().Store)
-	}
-	if s := NewSoup(e, Params{WalkLength: 4, ForwardCap: 2}, 0); s.Params().Store != StoreCapped {
-		t.Fatalf("auto capped resolved to %v, want StoreCapped", s.Params().Store)
+	if s := NewSoup(e, Params{WalkLength: 4, ForwardCap: 2}, 0); s.lz != nil {
+		t.Fatal("capped soup selected the lazy evaluator, want the materialized store")
 	}
 }
 

@@ -159,7 +159,7 @@ func cmpSample(a, b Sample) int {
 // one engine for rounds rounds (with periodic Injects), comparing buckets,
 // samples, and metrics every round. exactOrder demands bit-identical
 // bucket and sample ordering; otherwise per-slot multisets are compared
-// (the uncapped fast path keeps a canonical order of its own).
+// (the lazy store keeps a canonical order of its own).
 func runAgainstReference(t *testing.T, p Params, workers, n, rounds int, exactOrder bool) {
 	t.Helper()
 	runAgainstReferenceShards(t, p, workers, 0, n, rounds, exactOrder)
@@ -253,23 +253,6 @@ func TestColumnarMatchesReferenceCapped(t *testing.T) {
 	}
 }
 
-// TestColumnarMatchesReferenceUncapped pins the ForwardCap == 0 eager
-// fast path (staging-is-the-store, pinned via StoreEager now that
-// StoreAuto resolves uncapped soups to the lazy evaluator) to the
-// reference model: with no forwarding budget no token's fate depends on
-// bucket position, so per-slot token and sample multisets and all
-// metrics must match exactly; ordering follows the fast path's own
-// canonical (source-shard-major) order and is checked for worker-count
-// independence by TestDeterministicAcrossWorkerCounts.
-func TestColumnarMatchesReferenceUncapped(t *testing.T) {
-	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true, Store: StoreEager}
-	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		for _, n := range []int{50, 128} {
-			runAgainstReference(t, p, workers, n, 300, false)
-		}
-	}
-}
-
 // TestLazyMatchesReference is the bugfix safety net for the lazy
 // trajectory evaluator: several hundred rounds of churn + Lazy + periodic
 // injection, compared against the naive reference model every round —
@@ -279,7 +262,7 @@ func TestColumnarMatchesReferenceUncapped(t *testing.T) {
 // query-forced partial-evaluation machinery (cached cohort positions,
 // retrospective arrival counts, resumed delivery) through every round.
 func TestLazyMatchesReference(t *testing.T) {
-	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true, Store: StoreLazy}
+	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 		for _, n := range []int{50, 128} { // 50 < shard.Count exercises empty shards
 			runAgainstReference(t, p, workers, n, 300, false)
@@ -293,7 +276,7 @@ func TestLazyMatchesReference(t *testing.T) {
 // more than half the shards own zero slots; per-slot multisets and metrics
 // must still match the serial reference exactly.
 func TestLazyMatchesReferenceShardCounts(t *testing.T) {
-	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true, Store: StoreLazy}
+	p := Params{WalksPerRound: 3, WalkLength: 7, Deadline: 20, Lazy: true}
 	for _, shards := range []int{16, 256} {
 		for _, workers := range []int{1, 3} {
 			runAgainstReferenceShards(t, p, workers, shards, 128, 200, false)
@@ -306,7 +289,7 @@ func TestLazyMatchesReferenceShardCounts(t *testing.T) {
 // minimum depth) that the default-length oracle never reaches.
 func TestLazyMatchesReferenceShortWalks(t *testing.T) {
 	for _, T := range []int{1, 2} {
-		p := Params{WalksPerRound: 2, WalkLength: T, Deadline: 3 * T, Lazy: true, Store: StoreLazy}
+		p := Params{WalksPerRound: 2, WalkLength: T, Deadline: 3 * T, Lazy: true}
 		runAgainstReference(t, p, 1, 64, 120, false)
 		runAgainstReference(t, p, 3, 64, 120, false)
 	}

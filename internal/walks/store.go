@@ -46,9 +46,8 @@ func stepsOf(pack uint64) uint16  { return uint16(pack & stepsMask) }
 // tokRec is one token in the store and in exchange staging: 16 bytes, two
 // packed lanes. A staged record and a stored record are bit-identical —
 // loc's local-index half is the destination slot while in flight and the
-// holding slot once stored — so the capped path's counting sort places
-// each token with a single 16-byte copy, and the uncapped path can treat
-// staged records as the store itself.
+// holding slot once stored — so the gather's counting sort places
+// each token with a single 16-byte copy.
 type tokRec struct {
 	loc  uint64 // src<<LocalBits | local slot index (within the shard)
 	pack uint64 // birth<<32 | serial<<16 | steps
@@ -93,24 +92,15 @@ const (
 // scatter or gather pass; the only cross-shard accesses are reads of
 // other shards' staging, always on the far side of a shard.Run barrier.
 //
-// The token store has two representations, chosen once at NewSoup:
-//
-//   - Capped (ForwardCap > 0): tok/off are the materialized store — slot
-//     lo+i holds tokens tok[off[i]:off[i+1]] in canonical bucket order
-//     (deferred first, then arrivals by source slot) — rebuilt every
-//     round by the gather's counting sort into nextTok/nextOff.
-//   - Uncapped (ForwardCap == 0, the paper's default and the hot
-//     benchmark path): no token is ever deferred, so no token's fate
-//     depends on its bucket position, and the materialization is
-//     skipped: the staged exchange buffers themselves are the store
-//     (outBuf double-buffers across rounds), consumed next round in
-//     canonical source order. This removes a 16-byte placement write and
-//     re-read per token per round; per-slot counts (TokensAt, Inject)
-//     are derived lazily from the buffers between rounds.
+// tok/off are the materialized store of the capped soup (ForwardCap > 0):
+// slot lo+i holds tokens tok[off[i]:off[i+1]] in canonical bucket order
+// (deferred first, then arrivals by source slot), rebuilt every round by
+// the gather's counting sort into nextTok/nextOff. The uncapped soup keeps
+// no tokens here; its lz* fields hold the lazy evaluator's cohort caches.
 type soupShard struct {
 	lo, hi int // slot range [lo, hi) owned by this shard
 
-	// Capped-path store (see above).
+	// Capped store (see above).
 	tok     []tokRec
 	nextTok []tokRec
 	off     []int32 // len hi-lo+1
@@ -121,14 +111,12 @@ type soupShard struct {
 	smp    []Sample
 	smpOff []int32 // len hi-lo+1
 
-	// counts is counting-sort scratch on the capped path; on the
-	// uncapped path it lazily caches per-slot token counts between
-	// rounds (valid when countsOK — see materializeCounts).
-	counts   []int32
-	countsOK bool
+	// counts is counting-sort scratch for the gathers; on the lazy store
+	// it also caches per-slot token counts between rounds (valid while
+	// lazySoup.countsOK holds — see lzFillCounts).
+	counts []int32
 
-	cursor   []int32 // uncapped scratch: per-slot stored-token cursor
-	replaced []bool  // uncapped scratch: slot replaced this round
+	cursor []int32 // lazy cohort-creation scratch: per-slot injected survivors
 
 	// groups are the capped gather's intermediate radix buffers:
 	// incoming tokens partitioned by slot group (contiguous runs of
@@ -137,10 +125,9 @@ type soupShard struct {
 	groups [][]tokRec
 
 	// Scatter staging, segregated by destination shard (grid-sized,
-	// allocated by init). outBuf is double-buffered: a round's scatter
-	// writes outBuf[parity] while the uncapped path reads last round's
-	// outBuf[1-parity] as its store.
-	outBuf [2][][]tokRec
+	// allocated by init). The capped gather consumes outBuf in the round
+	// that wrote it; the lazy store stages only samples.
+	outBuf [][]tokRec
 	outSmp [][]stagedSmp
 
 	// Deferred tokens (capped path: over the forwarding cap) stay in
@@ -149,7 +136,7 @@ type soupShard struct {
 	deferred []tokRec
 
 	tally  Metrics
-	pfSink uint32 // sink keeping the scatter's prefetch loads live
+	pfSink uint32 // sink keeping the lazy replay's prefetch loads live
 
 	// Lazy-evaluator state (lazy.go): lzToks[b%depth] holds the cached
 	// live tokens of cohort b that were born in this shard's slots (their
@@ -158,30 +145,6 @@ type soupShard struct {
 	lzToks [][]replayTok
 	lzFree [][]replayTok
 	lzCap  int // fresh-buffer capacity: one full cohort's tokens
-
-	// wc/wcLen: software write-combining blocks for the uncapped
-	// scatter's staged appends — tokens buffer in these L1-resident
-	// blocks and flush wcWidth at a time, so the grid's staging tails
-	// are touched in multi-line bursts the L2 streamer can follow
-	// instead of one interleaved line per token across more streams
-	// than it tracks.
-	wc    [][wcWidth]tokRec
-	wcLen []int8
-}
-
-const wcWidth = 32
-
-// stageWC buffers one staged token for destination shard dsh, flushing
-// the block (order-preserving) when full.
-func (ss *soupShard) stageWC(out [][]tokRec, dsh uint32, t tokRec) {
-	l := ss.wcLen[dsh]
-	ss.wc[dsh][l] = t
-	l++
-	if l == wcWidth {
-		out[dsh] = append(out[dsh], ss.wc[dsh][:]...)
-		l = 0
-	}
-	ss.wcLen[dsh] = l
 }
 
 func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
@@ -192,12 +155,8 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 	ss.smpOff = make([]int32, slots+1)
 	ss.counts = make([]int32, slots)
 	ss.cursor = make([]int32, slots)
-	ss.replaced = make([]bool, slots)
 	ss.groups = make([][]tokRec, (slots+groupSlots-1)/groupSlots)
-	ss.outBuf[0] = make([][]tokRec, g.Count())
-	ss.outBuf[1] = make([][]tokRec, g.Count())
-	ss.wc = make([][wcWidth]tokRec, g.Count())
-	ss.wcLen = make([]int8, g.Count())
+	ss.outBuf = make([][]tokRec, g.Count())
 
 	// Pre-size the sample staging to its steady-state maximum. Each round
 	// one cohort of slots·wpr walks completes here and scatters
@@ -224,7 +183,7 @@ func (ss *soupShard) init(g shard.Grid, sh, n, wpr int) {
 	ss.lzCap = slots*wpr + 8
 }
 
-// insert splices count fresh tokens into the capped-path store at the end
+// insert splices count fresh tokens into the capped store at the end
 // of a slot's bucket (the Inject path; runs between rounds, never during
 // an exchange). O(shard population) for the tail shift — fine for
 // experiment-sized injections.
@@ -261,7 +220,7 @@ func (s *Soup) prepRowLoc(ss *soupShard, g *graph.Graph, d int) {
 	}
 }
 
-// scatter is the capped path's fused per-round pass over source shards:
+// scatter is the capped store's fused per-round pass over source shards:
 // for every slot it applies churn death, emits the slot's fresh tokens
 // (after the stored ones, serials continuing from the stored count —
 // identical semantics to the former serial generation prelude), and walks
@@ -273,10 +232,9 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 	d := uint64(g.Degree())
 	p := s.p
 	stepsInit := uint16(p.WalkLength)
-	parity := s.parity
 	s.grid.Run(s.workers, func(sh int) {
 		ss := &s.shards[sh]
-		out := ss.outBuf[parity]
+		out := ss.outBuf
 		for dsh := range out {
 			out[dsh] = out[dsh][:0]
 			ss.outSmp[dsh] = ss.outSmp[dsh][:0]
@@ -346,7 +304,7 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 						tokRec{loc: t.loc&^uint64(localMask) | uint64(local), pack: t.pack})
 					continue
 				}
-				// Step core — keep in sync with scatterUncapped.
+				// Step core — keep in sync with lzReplayShard.
 				h := stepHash(s.seed, round, t.src(), birthOf(t.pack), serialOf(t.pack))
 				loc := selfLoc
 				// Lazy self-loops flip the TOP hash bit: the fastrange
@@ -382,156 +340,7 @@ func (s *Soup) scatter(e *simnet.Engine, round int) {
 	})
 }
 
-// scatterUncapped is the ForwardCap == 0 fast path: the staged exchange
-// buffers written last round ARE the store, consumed here in canonical
-// source order (source shards in fixed index order, each buffer in its
-// append order). With no forwarding budget, no token's fate depends on
-// its bucket position, so nothing needs to be materialized slot-major:
-// per-slot cursors recover each slot's stored count for serial
-// continuation, and generation runs as a per-slot coda. One 16-byte
-// staged write per token per round is all the data movement there is.
-func (s *Soup) scatterUncapped(e *simnet.Engine, round int) {
-	g := e.Graph()
-	d := uint64(g.Degree())
-	p := s.p
-	stepsInit := uint16(p.WalkLength)
-	parity := s.parity
-	s.grid.Run(s.workers, func(sh int) {
-		ss := &s.shards[sh]
-		out := ss.outBuf[parity]
-		in := 1 - parity
-		for dsh := range out {
-			out[dsh] = out[dsh][:0]
-			ss.outSmp[dsh] = ss.outSmp[dsh][:0]
-		}
-		s.prepRowLoc(ss, g, int(d))
-		lo := ss.lo
-		cursor := ss.cursor
-		replaced := ss.replaced
-		anyReplaced := false
-		for slot := ss.lo; slot < ss.hi; slot++ {
-			cursor[slot-lo] = 0
-			r := e.ReplacedInRound(slot, round)
-			replaced[slot-lo] = r
-			anyReplaced = anyReplaced || r
-		}
-		var generated, died, totalIn, completed int64
-		var pfSink uint32
-		rowLoc := s.rowLoc
-		// Stored tokens: every token that arrived here last round.
-		for ssh := range s.shards {
-			buf := s.shards[ssh].outBuf[in][sh]
-			totalIn += int64(len(buf))
-			for i := 0; i < len(buf); i++ {
-				// A token's slot — and so its adjacency row — is known
-				// from the staged record alone, several records ahead of
-				// the hash that picks the port. Touch the upcoming row
-				// now so the rowLoc access below hits L1 instead of
-				// paying L2 latency on a random load (the sink keeps the
-				// compiler from discarding the touch).
-				if i+6 < len(buf) {
-					pfSink += rowLoc[(lo+int(buf[i+6].loc&localMask))*int(d)]
-				}
-				t := buf[i]
-				local := t.loc & localMask
-				if anyReplaced && replaced[local] {
-					died++
-					continue
-				}
-				cursor[local]++
-				// No deadline check: an uncapped token is never deferred,
-				// so it steps every round and its age is at most
-				// WalkLength-1 < Deadline (NewSoup clamps Deadline up to
-				// WalkLength) — Overdue is identically zero on this path.
-				// Step core — keep in sync with scatter.
-				h := stepHash(s.seed, round, t.src(), birthOf(t.pack), serialOf(t.pack))
-				slot := lo + int(local)
-				var loc uint32
-				if p.Lazy && h>>63 == 1 {
-					loc = s.slotLoc[slot] // lazy self-loop: stay put
-				} else {
-					if p.Lazy {
-						h <<= 1
-					}
-					port, _ := bits.Mul64(h, d)
-					loc = rowLoc[slot*int(d)+int(port)]
-				}
-				t.pack--
-				dsh := loc >> shard.LocalBits
-				t.loc = t.loc&^uint64(localMask) | uint64(loc&localMask)
-				if t.pack&stepsMask == 0 {
-					completed++
-					ss.outSmp[dsh] = append(ss.outSmp[dsh],
-						stagedSmp{loc: t.loc, birth: birthOf(t.pack)})
-				} else {
-					ss.stageWC(out, dsh, t)
-				}
-			}
-		}
-		// Generation coda: fresh tokens step in the same round, serials
-		// continuing from the stored count (the cursor, which — like the
-		// old bucket length — excludes churn deaths).
-		if p.WalksPerRound > 0 {
-			for slot := ss.lo; slot < ss.hi; slot++ {
-				local := slot - lo
-				stored := int(cursor[local])
-				genHere := p.WalksPerRound
-				if limit := 1<<16 - stored; genHere > limit {
-					genHere = max(limit, 0)
-				}
-				generated += int64(genHere)
-				if genHere == 0 {
-					continue
-				}
-				id := e.IDAt(slot)
-				if uint64(id) >= maxSrcID {
-					panic("walks: node id exceeds the packed staging range")
-				}
-				genLoc := uint64(id) << shard.LocalBits
-				selfLoc := s.slotLoc[slot]
-				row := rowLoc[slot*int(d) : slot*int(d)+int(d)]
-				for k := 0; k < genHere; k++ {
-					t := tokRec{loc: genLoc, pack: packToken(int32(round), uint16(stored+k), stepsInit)}
-					// Step core — keep in sync with scatter.
-					h := stepHash(s.seed, round, t.src(), birthOf(t.pack), serialOf(t.pack))
-					loc := selfLoc
-					if lazyStay := p.Lazy && h>>63 == 1; !lazyStay {
-						if p.Lazy {
-							h <<= 1
-						}
-						port, _ := bits.Mul64(h, d)
-						loc = row[port]
-					}
-					t.pack--
-					dsh := loc >> shard.LocalBits
-					t.loc |= uint64(loc & localMask)
-					if t.pack&stepsMask == 0 {
-						completed++
-						ss.outSmp[dsh] = append(ss.outSmp[dsh],
-							stagedSmp{loc: t.loc, birth: birthOf(t.pack)})
-					} else {
-						ss.stageWC(out, dsh, t)
-					}
-				}
-			}
-		}
-		for dsh := range ss.wc {
-			if l := ss.wcLen[dsh]; l > 0 {
-				out[dsh] = append(out[dsh], ss.wc[dsh][:l]...)
-				ss.wcLen[dsh] = 0
-			}
-		}
-		ss.pfSink = pfSink // keeps the prefetch loads live
-		// Every stored token either died or moved, and every generated
-		// token moved — so Moves needs no per-token counter.
-		ss.tally = Metrics{
-			Generated: generated, Completed: completed, Died: died,
-			Moves: totalIn - died + generated,
-		}
-	})
-}
-
-// gather finishes the round. On the capped path it rebuilds every shard's
+// gather finishes the capped round. It rebuilds every shard's
 // token store with a two-pass counting sort over the staged exchange:
 // pass 1 partitions the sources — deferred tokens first, then source
 // shards in fixed index order — into contiguous slot groups while
@@ -546,59 +355,51 @@ func (s *Soup) scatterUncapped(e *simnet.Engine, round int) {
 // every worker count — the final array is bit-identical for any group
 // width — and the store ends the round fully compacted.
 //
-// Samples get the same counting-sort treatment on both paths (replacing
-// last round's sample store wholesale is also what "clears" samples — no
-// serial clearing prelude). Sample volume is the per-round completion
-// rate — a few percent of token volume — so their pass 1 is a scan.
+// Samples get the same counting-sort treatment (replacing last round's
+// sample store wholesale is also what "clears" samples — no serial
+// clearing prelude). Sample volume is the per-round completion rate — a
+// few percent of token volume — so their pass 1 is a scan.
 func (s *Soup) gather() {
-	parity := s.parity
 	s.grid.Run(s.workers, func(dsh int) {
 		ds := &s.shards[dsh]
 		counts := ds.counts
 
-		if s.capped {
-			// Tokens: pass 1 — partition into slot groups and count per
-			// destination slot.
-			for i := range counts {
-				counts[i] = 0
-			}
-			groups := ds.groups
-			for _, t := range ds.deferred {
+		// Tokens: pass 1 — partition into slot groups and count per
+		// destination slot.
+		for i := range counts {
+			counts[i] = 0
+		}
+		groups := ds.groups
+		for _, t := range ds.deferred {
+			l := t.loc & localMask
+			counts[l]++
+			groups[l>>groupShift] = append(groups[l>>groupShift], t)
+		}
+		for ssh := range s.shards {
+			for _, t := range s.shards[ssh].outBuf[dsh] {
 				l := t.loc & localMask
 				counts[l]++
 				groups[l>>groupShift] = append(groups[l>>groupShift], t)
 			}
-			for ssh := range s.shards {
-				for _, t := range s.shards[ssh].outBuf[parity][dsh] {
-					l := t.loc & localMask
-					counts[l]++
-					groups[l>>groupShift] = append(groups[l>>groupShift], t)
-				}
-			}
-			total := shard.Offsets(counts, ds.nextOff)
-			ds.nextTok = grow(ds.nextTok, int(total))
-			// Pass 2 — cursors start at each slot's offset; place one
-			// group at a time.
-			copy(counts, ds.nextOff[:len(counts)])
-			next := ds.nextTok
-			for g, buf := range groups {
-				for _, t := range buf {
-					l := t.loc & localMask
-					pos := counts[l]
-					counts[l] = pos + 1
-					next[pos] = t
-				}
-				groups[g] = buf[:0]
-			}
-			ds.tok, ds.nextTok = ds.nextTok, ds.tok
-			ds.off, ds.nextOff = ds.nextOff, ds.off
-		} else {
-			// Uncapped: the staged buffers are next round's store;
-			// per-slot counts are derived lazily if the API asks.
-			ds.countsOK = false
 		}
+		total := shard.Offsets(counts, ds.nextOff)
+		ds.nextTok = grow(ds.nextTok, int(total))
+		// Pass 2 — cursors start at each slot's offset; place one group
+		// at a time.
+		copy(counts, ds.nextOff[:len(counts)])
+		next := ds.nextTok
+		for g, buf := range groups {
+			for _, t := range buf {
+				l := t.loc & localMask
+				pos := counts[l]
+				counts[l] = pos + 1
+				next[pos] = t
+			}
+			groups[g] = buf[:0]
+		}
+		ds.tok, ds.nextTok = ds.nextTok, ds.tok
+		ds.off, ds.nextOff = ds.nextOff, ds.off
 
-		// Samples.
 		s.gatherSamplesShard(ds, dsh)
 	})
 }
@@ -606,7 +407,7 @@ func (s *Soup) gather() {
 // gatherSamplesShard rebuilds destination shard dsh's sample store from
 // the per-source-shard outSmp staging with a stable two-pass counting
 // sort (replacing last round's sample store wholesale is also what
-// "clears" samples). Shared by the capped/eager gather and the lazy
+// "clears" samples). Shared by the capped gather and the lazy
 // evaluator's delivery step.
 func (s *Soup) gatherSamplesShard(ds *soupShard, dsh int) {
 	counts := ds.counts
@@ -632,69 +433,5 @@ func (s *Soup) gatherSamplesShard(ds *soupShard, dsh int) {
 			counts[l] = pos + 1
 			ds.smp[pos] = Sample{Src: simnet.NodeID(t.loc >> shard.LocalBits), Birth: t.birth}
 		}
-	}
-}
-
-// inboxParity returns the outBuf side holding the tokens the NEXT round
-// will consume — the uncapped path's between-rounds store.
-func (s *Soup) inboxParity() int { return 1 - s.parity }
-
-// materializeCounts fills ss.counts with per-slot token counts from the
-// uncapped path's staged store. Called lazily by the introspection APIs
-// (TokensAt, Inject); the hot loop never needs it. The mutex makes
-// concurrent TokensAt calls (e.g. from parallel protocol handlers
-// probing arbitrary slots) safe: the first caller fills the cache, the
-// rest synchronize on the lock and read it; the gather invalidates
-// countsOK strictly before handlers run (hooks precede handlers in the
-// round order), so the flag is stable while handlers execute.
-func (s *Soup) materializeCounts(sh int) {
-	ss := &s.shards[sh]
-	s.countsMu.Lock()
-	defer s.countsMu.Unlock()
-	if ss.countsOK {
-		return
-	}
-	counts := ss.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	in := s.inboxParity()
-	for ssh := range s.shards {
-		for _, t := range s.shards[ssh].outBuf[in][sh] {
-			counts[t.loc&localMask]++
-		}
-	}
-	ss.countsOK = true
-}
-
-// appendVirtual appends slot's tokens, in canonical order, from the
-// uncapped path's staged store.
-func (s *Soup) appendVirtual(sh, local int, dst []Token) []Token {
-	in := s.inboxParity()
-	for ssh := range s.shards {
-		for _, t := range s.shards[ssh].outBuf[in][sh] {
-			if int(t.loc&localMask) == local {
-				dst = append(dst, t.token())
-			}
-		}
-	}
-	return dst
-}
-
-// injectUncapped appends count fresh tokens for slot (shard sh, local
-// index local) to the uncapped staged store, after all existing arrivals:
-// the last source shard's buffer is the tail of the canonical order.
-func (s *Soup) injectUncapped(sh, local, count int, id simnet.NodeID, birth int32, baseSerial, steps uint16) {
-	if uint64(id) >= maxSrcID {
-		panic("walks: node id exceeds the packed staging range")
-	}
-	tail := &s.shards[len(s.shards)-1].outBuf[s.inboxParity()][sh]
-	loc := uint64(id)<<shard.LocalBits | uint64(local)
-	for k := 0; k < count; k++ {
-		*tail = append(*tail, tokRec{loc: loc, pack: packToken(birth, baseSerial+uint16(k), steps)})
-	}
-	ss := &s.shards[sh]
-	if ss.countsOK {
-		ss.counts[local] += int32(count)
 	}
 }

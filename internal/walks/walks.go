@@ -10,16 +10,15 @@
 //
 // Implementation notes (the HPC parts):
 //
-//   - The token store has three representations (Params.Store). With a
-//     forwarding cap, tokens live in a columnar store of packed 16-byte
-//     two-lane records (src|slot, birth|serial|steps) moved one step per
-//     round by a two-phase sharded exchange whose counting-sort gather
-//     materializes slot-major buckets (store.go). Without a cap the
-//     default is the lazy trajectory evaluator (lazy.go): no per-token
-//     state between rounds at all, just a (T+2)-deep ring of per-round
-//     inputs, with each birth cohort replayed once at its delivery
-//     round; the eager staging-is-the-store exchange remains selectable
-//     (StoreEager) for differential testing and benchmarks.
+//   - The token store has one representation per regime, chosen by
+//     NewSoup from ForwardCap. With a forwarding cap, tokens live in a
+//     columnar store of packed 16-byte two-lane records (src|slot,
+//     birth|serial|steps) moved one step per round by a two-phase sharded
+//     exchange whose counting-sort gather materializes slot-major buckets
+//     (store.go). Without a cap (the paper's default) the lazy trajectory
+//     evaluator runs instead (lazy.go): no per-token state between rounds
+//     at all, just a (T+2)-deep ring of per-round inputs, with each birth
+//     cohort replayed once at its delivery round.
 //   - Each token's step is derived by hashing (seed, round, src, birth,
 //     serial), not by consuming a shared stream, so the simulation is
 //     bit-reproducible at any worker count.
@@ -36,7 +35,6 @@ package walks
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"dynp2p/internal/shard"
 	"dynp2p/internal/simnet"
@@ -60,32 +58,6 @@ type Sample struct {
 	Birth int32
 }
 
-// StoreKind selects the token-store representation (see store.go and
-// lazy.go for the implementations and DESIGN.md §6 for the rationale).
-type StoreKind uint8
-
-const (
-	// StoreAuto picks the best representation for the parameters: the
-	// exact capped store when ForwardCap > 0, the lazy trajectory
-	// evaluator otherwise (the paper's default).
-	StoreAuto StoreKind = iota
-	// StoreCapped is the materialized slot-major store rebuilt each round
-	// by the counting-sort gather. Required (and only valid) when
-	// ForwardCap > 0: deferral makes a token's fate depend on its bucket
-	// position, so buckets must exist.
-	StoreCapped
-	// StoreEager is the staged-exchange store (staging-is-the-store):
-	// every in-flight token is moved one step per round through the
-	// sharded scatter. Valid only when ForwardCap == 0. Kept selectable
-	// for benchmarks and differential testing against StoreLazy.
-	StoreEager
-	// StoreLazy is the lazy trajectory evaluator: no per-token state is
-	// kept between rounds at all — only a T-deep ring of per-round inputs
-	// — and each birth cohort's full trajectory is replayed once, at its
-	// delivery round. Valid only when ForwardCap == 0.
-	StoreLazy
-)
-
 // Params configures the soup.
 type Params struct {
 	// WalksPerRound is the number of walks each node starts per round
@@ -105,10 +77,6 @@ type Params struct {
 	// the standard guard against the vanishing-probability bipartite draw
 	// of the random topology; it roughly doubles the mixing length.
 	Lazy bool
-	// Store selects the token-store representation. The zero value
-	// (StoreAuto) resolves to StoreCapped when ForwardCap > 0 and
-	// StoreLazy otherwise; NewSoup panics on an invalid combination.
-	Store StoreKind
 }
 
 // DefaultParams returns soup parameters for network size n, following the
@@ -164,21 +132,10 @@ type Soup struct {
 	slotLoc []uint32
 	rowLoc  []uint32
 
-	// capped selects the store representation (see soupShard): the exact
-	// slot-major materialized store when a forwarding cap is set, the
-	// staging-is-the-store fast path when unlimited. parity selects which
-	// side of the double-buffered staging the current round writes.
-	// countsMu serializes the eager path's lazy per-slot count
-	// materialization and the lazy evaluator's query-time forcing, so
-	// TokensAt/Metrics stay safe to call concurrently.
-	capped   bool
-	parity   int
-	countsMu sync.Mutex
-
-	// lz is non-nil iff the resolved store is StoreLazy (lazy.go): the
-	// T-deep ring of per-round inputs replacing all between-round token
-	// state. capped and lz are mutually exclusive; both false/nil means
-	// StoreEager.
+	// lz is non-nil iff the soup is uncapped (lazy.go): the T-deep ring of
+	// per-round inputs replacing all between-round token state. When nil,
+	// a forwarding cap is set and tokens live in the materialized
+	// slot-major store (see soupShard).
 	lz *lazySoup
 
 	workers int
@@ -196,24 +153,6 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	switch p.Store {
-	case StoreAuto:
-		if p.ForwardCap > 0 {
-			p.Store = StoreCapped
-		} else {
-			p.Store = StoreLazy
-		}
-	case StoreCapped:
-		if p.ForwardCap <= 0 {
-			panic("walks: StoreCapped requires ForwardCap > 0")
-		}
-	case StoreEager, StoreLazy:
-		if p.ForwardCap > 0 {
-			panic("walks: a forwarding cap requires StoreCapped (deferral needs materialized buckets)")
-		}
-	default:
-		panic("walks: unknown StoreKind")
-	}
 	n := e.N()
 	grid := e.Grid()
 	s := &Soup{
@@ -223,16 +162,14 @@ func NewSoup(e *simnet.Engine, p Params, workers int) *Soup {
 		grid:    grid,
 		shards:  make([]soupShard, grid.Count()),
 		slotLoc: grid.LocTable(n),
-		capped:  p.Store == StoreCapped,
 		workers: workers,
-	}
-	if p.Store != StoreLazy {
-		s.rowLoc = make([]uint32, n*e.Degree())
 	}
 	for i := range s.shards {
 		s.shards[i].init(grid, i, n, p.WalksPerRound)
 	}
-	if p.Store == StoreLazy {
+	if p.ForwardCap > 0 {
+		s.rowLoc = make([]uint32, n*e.Degree())
+	} else {
 		s.lz = newLazySoup(e, s)
 	}
 	// Bridge the soup's counters into the engine's telemetry registry as
@@ -277,43 +214,30 @@ func (s *Soup) Samples(slot int) []Sample {
 }
 
 // TokensAt returns the number of in-flight tokens currently held at slot.
-// O(1) on the capped path (an offset-index difference); on the eager and
-// lazy paths the per-slot counts materialize on the first query after a
-// round (for the lazy store this forces partial evaluation of every
-// in-flight cohort up to the last stepped round), then are O(1) too.
+// O(1) on the capped store (an offset-index difference); on the lazy store
+// the per-slot counts materialize on the first query after a round
+// (forcing partial evaluation of every in-flight cohort up to the last
+// stepped round), then are O(1) too.
 func (s *Soup) TokensAt(slot int) int {
 	sh, local := shard.Loc(s.slotLoc[slot])
 	ss := &s.shards[sh]
-	if s.capped {
-		return int(ss.off[local+1] - ss.off[local])
-	}
 	if s.lz != nil {
 		s.lzSync(true)
-	} else {
-		s.materializeCounts(sh)
+		return int(ss.counts[local])
 	}
-	return int(ss.counts[local])
+	return int(ss.off[local+1] - ss.off[local])
 }
 
 // TotalTokens returns the number of in-flight tokens network-wide. O(1)
-// in n: a sum over the per-shard store (or staging-buffer, or cached
-// cohort) lengths; the lazy store forces cohort evaluation first.
+// in n: a sum over the per-shard store (or cached cohort) lengths; the
+// lazy store forces cohort evaluation first.
 func (s *Soup) TotalTokens() int {
-	t := 0
-	if s.capped {
-		for i := range s.shards {
-			t += len(s.shards[i].tok)
-		}
-		return t
-	}
 	if s.lz != nil {
 		return s.lzTotalTokens()
 	}
-	in := s.inboxParity()
+	t := 0
 	for i := range s.shards {
-		for dsh := range s.shards[i].outBuf[in] {
-			t += len(s.shards[i].outBuf[in][dsh])
-		}
+		t += len(s.shards[i].tok)
 	}
 	return t
 }
@@ -323,18 +247,15 @@ func (s *Soup) TotalTokens() int {
 // returns it. Used by tests and experiment introspection, not by the hot
 // path.
 func (s *Soup) AppendTokens(slot int, dst []Token) []Token {
-	sh, local := shard.Loc(s.slotLoc[slot])
-	ss := &s.shards[sh]
-	if s.capped {
-		for _, t := range ss.tok[ss.off[local]:ss.off[local+1]] {
-			dst = append(dst, t.token())
-		}
-		return dst
-	}
 	if s.lz != nil {
 		return s.lzAppendTokens(slot, dst)
 	}
-	return s.appendVirtual(sh, local, dst)
+	sh, local := shard.Loc(s.slotLoc[slot])
+	ss := &s.shards[sh]
+	for _, t := range ss.tok[ss.off[local]:ss.off[local+1]] {
+		dst = append(dst, t.token())
+	}
+	return dst
 }
 
 // Inject starts count extra walks from the given slot this round (on top
@@ -344,20 +265,16 @@ func (s *Soup) AppendTokens(slot int, dst []Token) []Token {
 // would make two tokens share their step-hash identity and walk in
 // lock-step) and returns the number actually injected.
 func (s *Soup) Inject(e *simnet.Engine, slot, count, round int) int {
-	sh, local := shard.Loc(s.slotLoc[slot])
 	base := s.TokensAt(slot)
 	if limit := 1<<16 - base; count > limit {
 		count = max(limit, 0)
 	}
 	if count > 0 {
-		switch {
-		case s.capped:
-			s.shards[sh].insert(local, count, e.IDAt(slot), int32(round),
-				uint16(base), uint16(s.p.WalkLength))
-		case s.lz != nil:
+		if s.lz != nil {
 			s.lzInject(slot, count, e.IDAt(slot), int32(round), uint16(base))
-		default:
-			s.injectUncapped(sh, local, count, e.IDAt(slot), int32(round),
+		} else {
+			sh, local := shard.Loc(s.slotLoc[slot])
+			s.shards[sh].insert(local, count, e.IDAt(slot), int32(round),
 				uint16(base), uint16(s.p.WalkLength))
 		}
 	}
@@ -380,29 +297,19 @@ func stepHash(seed uint64, round int, src simnet.NodeID, birth int32, serial uin
 // StepRound implements simnet.RoundHook. Semantics mirror the model's
 // order of operations — churn already happened (tokens at churned slots
 // die), every node generates new walks, then every token takes one
-// synchronous step — but all three phases are fused into the single
-// sharded scatter pass (store.go): the per-slot scatter kills tokens at
-// replaced slots, emits the slot's fresh tokens after its stored ones, and
-// steps everything in one sweep, so no serial O(n) prelude remains. The
-// lazy store (lazy.go) goes further: it records the round's inputs and
-// replays only the one cohort whose delivery falls due this round.
+// synchronous step — but on the capped store all three phases are fused
+// into the single sharded scatter pass (store.go): the per-slot scatter
+// kills tokens at replaced slots, emits the slot's fresh tokens after its
+// stored ones, and steps everything in one sweep, so no serial O(n)
+// prelude remains. The lazy store (lazy.go) records the round's inputs
+// and replays only the one cohort whose delivery falls due this round.
 func (s *Soup) StepRound(e *simnet.Engine, round int) {
 	if s.lz != nil {
 		s.stepLazy(e, round)
 		return
 	}
-	if s.capped {
-		s.scatter(e, round)
-	} else {
-		s.scatterUncapped(e, round)
-	}
+	s.scatter(e, round)
 	s.gather()
-	if !s.capped {
-		// Only the uncapped path reads staging across rounds; the capped
-		// gather consumes it the same round, so capped runs pin side 0
-		// instead of growing both halves of the double buffer.
-		s.parity = 1 - s.parity
-	}
 	for i := range s.shards {
 		s.m.add(&s.shards[i].tally)
 	}

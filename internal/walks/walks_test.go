@@ -325,7 +325,7 @@ func TestInjectClampNoLockstepTokens(t *testing.T) {
 	// return the clamped count, and no two tokens in the bucket may share
 	// a (Src, Birth, Serial) step-hash identity — a wrapped serial would
 	// make the pair walk in lock-step forever.
-	for _, cap := range []int{0, 1 << 20} { // uncapped fast path, capped store
+	for _, cap := range []int{0, 1 << 20} { // lazy store, capped store
 		e := newEngine(32, churn.ZeroLaw{})
 		s := NewSoup(e, Params{WalkLength: 4, Deadline: 10, ForwardCap: cap}, 0)
 		if got := s.Inject(e, 3, 1<<16+500, 0); got != 1<<16 {
